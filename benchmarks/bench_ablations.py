@@ -1,6 +1,7 @@
 """Ablation benchmarks.
 
-These quantify the design choices DESIGN.md calls out and the paper's two
+These quantify the design choices behind the ``ablation-*`` experiments (see
+"Reproducing the paper's artefacts" in README.md) and the paper's two
 future-work items.  They run at a reduced scale (the smoke scale of the
 experiment harness) because they sweep several configurations each.
 """

@@ -1,7 +1,8 @@
 """Shared configuration of the benchmark harness.
 
 Every table and figure of the paper's evaluation has a benchmark here that
-regenerates it (see DESIGN.md §4).  Each benchmark:
+regenerates it (see "Reproducing the paper's artefacts" in README.md).
+Each benchmark:
 
 * runs the experiment once through ``benchmark.pedantic`` (the experiments are
   deterministic given the seed, so repeated rounds would only measure the

@@ -1,6 +1,6 @@
 """repro — reproduction of "New Dynamic Heuristics in the Client-Agent-Server Model".
 
-The library is organised in five layers (see DESIGN.md):
+The library is organised in five layers (see the package map in README.md):
 
 * :mod:`repro.simulation` — a SimPy-style discrete-event engine and the fluid
   processor-sharing model of Section 2.3;

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import SchedulingError
 from ..simulation.fluid import FluidNetwork, FluidStage
@@ -62,6 +62,9 @@ class ServerTrace:
     #: Baseline-cache behaviour counters (see :mod:`repro.obs.counters`).
     cache_hits: int = field(default=0, repr=False, compare=False)
     cache_misses: int = field(default=0, repr=False, compare=False)
+    #: Fluid work of the what-if copies run by :meth:`what_if`, summed.
+    whatif_steps: int = field(default=0, repr=False, compare=False)
+    whatif_stage_events: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.network is None:
@@ -69,6 +72,28 @@ class ServerTrace:
                 {"net_in": 1.0, "cpu": float(self.cpu_count), "net_out": 1.0},
                 per_job_caps={"cpu": 1.0},
             )
+
+    def what_if(
+        self,
+        task_id: Optional[str] = None,
+        stages: Sequence[FluidStage] = (),
+        now: float = 0.0,
+    ) -> Dict[object, float]:
+        """Run a copy of the network to completion, optionally with one more task.
+
+        With ``task_id``, the copy first receives that task (``stages``)
+        arriving at ``now``.  Returns the copy's completion dates.  The copy
+        starts with the live network's counters, so its counters past the
+        live network's are the work of this what-if; they are added to
+        :attr:`whatif_steps` and :attr:`whatif_stage_events`.
+        """
+        network = self.network.copy()
+        if task_id is not None:
+            network.add_task(task_id, arrival=now, stages=stages, now=now)
+        completions = network.run_to_completion()
+        self.whatif_steps += network.n_steps - self.network.n_steps
+        self.whatif_stage_events += network.n_stage_events - self.network.n_stage_events
+        return completions
 
     def unfinished_task_ids(self) -> List[str]:
         """Ids of the tasks the HTM believes are still running on the server."""
@@ -87,7 +112,7 @@ class ServerTrace:
         ``run_to_completion()`` per candidate.
         """
         if self._cached_completions is None or self._cache_version != self.network.version:
-            self._cached_completions = dict(self.network.copy().run_to_completion())
+            self._cached_completions = self.what_if()
             self._cache_version = self.network.version
             self.cache_misses += 1
         else:
@@ -112,7 +137,7 @@ class ServerTrace:
         if incremental:
             completions = self.free_run_completions()
         else:
-            completions = self.network.copy().run_to_completion()
+            completions = self.what_if()
         return {
             str(key): value for key, value in completions.items() if key in unfinished
         }
@@ -146,11 +171,15 @@ class HistoricalTraceManager:
 
     Both prediction arms run on the virtual-time fluid core
     (:mod:`repro.simulation.fluid`): a what-if ``copy()`` shares the immutable
-    per-job records and a free run costs O(events · log J) instead of
-    rescanning every job at every event, which is what keeps ``predict``
-    off the top of the campaign profile even for traces carrying thousands
-    of tasks (see ``bench_htm_predict_large_n_*`` in
-    ``benchmarks/bench_micro.py``).
+    per-job records, and its run to completion takes one fluid step per
+    event, in which idle queues only move their clocks.  Large traces thus
+    cost O(events · log J) per what-if (see ``bench_htm_predict_large_n_*``
+    in ``benchmarks/bench_micro.py``).  Typical traces hold only a task or
+    two, so the fixed cost of each step dominates, and ``predict`` remains
+    the largest cost of an HTM heuristic's campaign cell (about two thirds
+    of the traced wall time on the ``htm-wide`` workload of ``perfbench/``).
+    ``htm.whatif.steps`` and ``htm.whatif.stage_events`` in
+    :func:`repro.obs.counters.middleware_counters` count the copies' work.
     """
 
     def __init__(
@@ -240,14 +269,12 @@ class HistoricalTraceManager:
         if self.incremental_predictions:
             baseline = trace.free_run_completions()
         else:
-            baseline = trace.network.copy().run_to_completion()
+            baseline = trace.what_if()
         completions_without = {
             str(k): v for k, v in baseline.items() if k in unfinished
         }
 
-        with_new = trace.network.copy()
-        with_new.add_task(task.task_id, arrival=now, stages=self._stages_for(trace, task), now=now)
-        completions_with_all = with_new.run_to_completion()
+        completions_with_all = trace.what_if(task.task_id, self._stages_for(trace, task), now)
         completions_with = {
             str(k): v for k, v in completions_with_all.items() if k in unfinished
         }

@@ -8,8 +8,9 @@ those integers into flat, prefixed dictionaries:
 * :func:`middleware_counters` — one run's counters, harvested from a
   :class:`~repro.platform.middleware.GridMiddleware` after ``run()``:
   ground-truth fluid-core work (``fluid.*``), the HTM's trace simulations and
-  prediction-cache behaviour (``htm.*``), agent activity (``agent.*``) and
-  the monitor report bus (``monitor.*``);
+  prediction-cache behaviour (``htm.*``; ``htm.whatif.*`` sums the work of
+  the throw-away what-if copies behind every prediction), agent activity
+  (``agent.*``) and the monitor report bus (``monitor.*``);
 * :func:`merge_counters` — key-wise sum across cells, used to roll a whole
   campaign up into one ``perf-report.json`` block.
 
@@ -86,15 +87,19 @@ def middleware_counters(middleware) -> Dict[str, int]:
     if htm is not None:
         out["htm.predicts"] = htm.n_predicts
         out["htm.commits"] = htm.n_commits
-        hits = misses = 0
+        hits = misses = whatif_steps = whatif_stage_events = 0
         trace_networks = []
         for server in sorted(htm.servers()):
             trace = htm.trace(server)
             hits += trace.cache_hits
             misses += trace.cache_misses
+            whatif_steps += trace.whatif_steps
+            whatif_stage_events += trace.whatif_stage_events
             trace_networks.append(trace.network)
         out["htm.baseline_cache_hits"] = hits
         out["htm.baseline_cache_misses"] = misses
+        out["htm.whatif.steps"] = whatif_steps
+        out["htm.whatif.stage_events"] = whatif_stage_events
         out.update(
             _prefixed(
                 "htm.fluid.",

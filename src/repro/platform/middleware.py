@@ -9,7 +9,7 @@ executes one run; the experiment harness builds a fresh instance per
 (metatask, heuristic) pair.
 
 This is the substitute for the real NetSolve deployment of the paper's
-experiments — see DESIGN.md §2 for the substitution rationale.
+experiments — see the introduction of README.md.
 """
 
 from __future__ import annotations

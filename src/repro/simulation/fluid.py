@@ -46,10 +46,10 @@ head — a flat min because the canonical networks of this repository have
 R = 3 resources (a binary heap over queue tops only pays off for R ≫ 10).
 ``advance_to`` / ``run_to_completion`` are thus O((events + mutations)·log)
 where the previous implementation rescanned every job of every queue at every
-event (O(E·R·J) per run); ``copy()`` shares the immutable job records instead
-of cloning them.  The pre-virtual-time core is preserved verbatim in
-:mod:`repro.simulation.fluid_legacy` as the equivalence oracle for tests and
-A/B benchmarks.
+event (O(E·R·J) per run), and ``run_to_completion`` takes a single step per
+event; ``copy()`` shares the immutable job records instead of cloning them.
+The pre-virtual-time core is preserved in :mod:`repro.simulation.fluid_legacy`
+as the equivalence oracle for tests and A/B benchmarks.
 """
 
 from __future__ import annotations
@@ -287,6 +287,12 @@ class ProcessorSharingQueue:
             raise SimulationError(
                 f"cannot advance queue backwards (from {self._time} to {now})"
             )
+        if not self._jobs:
+            # An idle queue is already re-anchored (``remove`` and the tail
+            # below both call ``_reanchor`` when it drains): only the clock moves.
+            if now > self._time:
+                self._time = now
+            return []
         now = max(now, self._time)
         completions: List[Tuple[float, Hashable]] = []
         while self._jobs:
@@ -309,7 +315,8 @@ class ProcessorSharingQueue:
             self.n_completions += len(finished)
             for job in finished:
                 completions.append((self._time, job.key))
-        self._progress(now)
+        if now > self._time:
+            self._progress(now)
         if not self._jobs:
             self._reanchor()
         return completions
@@ -457,6 +464,15 @@ class FluidNetwork:
     arrivals sit in a min-heap keyed by arrival date, and each queue's next
     completion is an O(1) peek of its virtual-time target heap, so one event
     costs O(R + log) instead of a full rescan of every job of every queue.
+
+    Time moves in *steps* (``_step_to``): every queue advances to the step's
+    date, then the stage completions and due arrivals of that date are
+    processed.  :meth:`run_to_completion` takes one step per event — one
+    ``next_event_time`` scan, one step — which is what an HTM what-if costs
+    per event; :meth:`advance_to` steps through the events before its target
+    and then to the target itself.  An idle queue only moves its clock, so a
+    step costs little on the resources no task is using.  ``n_steps`` counts
+    the steps taken (a copy starts from its original's count).
     """
 
     def __init__(
@@ -485,6 +501,7 @@ class FluidNetwork:
         self._time = float(time)
         self._version = 0
         # Hot-path work counters (rolled up by :mod:`repro.obs.counters`).
+        self.n_steps = 0
         self.n_stage_events = 0
         self.n_arrivals_activated = 0
 
@@ -535,9 +552,12 @@ class FluidNetwork:
         return key in self._tasks
 
     def active_count(self, resource: Optional[str] = None) -> int:
-        """Number of unfinished tasks, optionally restricted to one resource."""
+        """Number of unfinished tasks, optionally restricted to one resource.
+
+        Pending tasks count once: they are unfinished entries of the task table.
+        """
         if resource is None:
-            return sum(1 for t in self._tasks.values() if not t.finished) + len(self._pending)
+            return sum(1 for t in self._tasks.values() if not t.finished)
         return len(self._queues[resource])
 
     def unfinished_keys(self) -> List[Hashable]:
@@ -673,12 +693,18 @@ class FluidNetwork:
         Returns a mapping from task key to completion time for the tasks that
         have finished.  Mainly used by the HTM on *copies* of the live network
         to answer "what if" questions.
+
+        The loop takes exactly one step per event: one ``next_event_time``
+        scan, then one ``_step_to`` to that date.  The dates are exactly those
+        of calling :meth:`advance_to` at each event, which would cost two more
+        scans and a zero-length step per event.
         """
+        events: List[FluidEvent] = []
         while True:
             t_next = self.next_event_time()
             if t_next == math.inf or t_next > horizon:
                 break
-            self.advance_to(t_next)
+            self._step_to(max(t_next, self._time), events)
         return {
             key: state.completion_time
             for key, state in self._tasks.items()
@@ -690,11 +716,13 @@ class FluidNetwork:
     # ------------------------------------------------------------------ #
     def _step_to(self, target: float, events: List[FluidEvent]) -> None:
         """Advance every queue to ``target`` and process stage transitions."""
+        self.n_steps += 1
         completions: List[Tuple[float, Hashable, str]] = []
         for name, queue in self._queues.items():
             for time, key in queue.advance_to(target):
                 completions.append((time, key, name))
-        completions.sort(key=lambda item: item[0])
+        if len(completions) > 1:
+            completions.sort(key=lambda item: item[0])
         self._time = max(self._time, target)
         self.n_stage_events += len(completions)
         for time, key, resource in completions:
@@ -760,6 +788,7 @@ class FluidNetwork:
         clone._seq = self._seq
         clone._time = self._time
         clone._version = self._version
+        clone.n_steps = self.n_steps
         clone.n_stage_events = self.n_stage_events
         clone.n_arrivals_activated = self.n_arrivals_activated
         return clone
@@ -772,6 +801,7 @@ class FluidNetwork:
         :class:`~repro.results.RunRecord` metrics or fingerprints.
         """
         out = {
+            "steps": self.n_steps,
             "stage_events": self.n_stage_events,
             "arrivals_activated": self.n_arrivals_activated,
             "heap_pushes": 0,

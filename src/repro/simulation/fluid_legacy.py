@@ -333,6 +333,10 @@ class FluidNetwork:
         self._pending: List[Hashable] = []  # tasks whose arrival is in the future
         self._time = float(time)
         self._version = 0
+        # The HTM's what-if accounting reads these two counters, and the
+        # large-N benchmarks run the HTM on this core.
+        self.n_steps = 0
+        self.n_stage_events = 0
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -379,7 +383,7 @@ class FluidNetwork:
     def active_count(self, resource: Optional[str] = None) -> int:
         """Number of unfinished tasks, optionally restricted to one resource."""
         if resource is None:
-            return sum(1 for t in self._tasks.values() if not t.finished) + len(self._pending)
+            return sum(1 for t in self._tasks.values() if not t.finished)
         return len(self._queues[resource])
 
     def unfinished_keys(self) -> List[Hashable]:
@@ -517,12 +521,14 @@ class FluidNetwork:
     # ------------------------------------------------------------------ #
     def _step_to(self, target: float, events: List[FluidEvent]) -> None:
         """Advance every queue to ``target`` and process stage transitions."""
+        self.n_steps += 1
         completions: List[Tuple[float, Hashable, str]] = []
         for name, queue in self._queues.items():
             for time, key in queue.advance_to(target):
                 completions.append((time, key, name))
         completions.sort(key=lambda item: item[0])
         self._time = max(self._time, target)
+        self.n_stage_events += len(completions)
         for time, key, resource in completions:
             state = self._tasks[key]
             state.stage_finish_times.append(time)
@@ -557,6 +563,7 @@ class FluidNetwork:
             # Zero-work stage: complete it immediately.
             state.stage_finish_times.append(now)
             finished_task = state.stage_index == len(state.stages) - 1
+            self.n_stage_events += 1
             events.append(
                 FluidEvent(now, state.key, state.stage_index, stage.resource, finished_task)
             )
@@ -574,6 +581,8 @@ class FluidNetwork:
         clone._pending = list(self._pending)
         clone._time = self._time
         clone._version = self._version
+        clone.n_steps = self.n_steps
+        clone.n_stage_events = self.n_stage_events
         return clone
 
     def __repr__(self) -> str:

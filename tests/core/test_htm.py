@@ -109,6 +109,51 @@ class TestPredictions:
         assert set(predictions) == {"artimon", "pulney"}
 
 
+class TestWhatIfCounters:
+    def test_prediction_counts_the_work_of_its_what_if_copies(self):
+        htm = make_htm()
+        trace = htm.trace("artimon")
+        htm.predict("artimon", task_of(1200, "t1"), now=0.0)
+        # the empty baseline has no event; the copy with the new task
+        # completes its three stages
+        assert trace.whatif_stage_events == 3
+        assert trace.whatif_steps >= 3
+        steps = trace.whatif_steps
+        htm.predict("artimon", task_of(1200, "t2"), now=0.0)  # baseline cached
+        assert trace.whatif_stage_events == 6
+        assert trace.whatif_steps == 2 * steps
+
+    def test_legacy_core_trace_counts_the_same_stage_events(self):
+        """The trace API is duck-typed: the large-N benchmarks back a trace
+        with the legacy core, whose counters must feed the same accounting."""
+        from repro.simulation import fluid_legacy
+
+        counts = []
+        for legacy in (False, True):
+            htm = make_htm()
+            trace = htm.trace("artimon")
+            if legacy:
+                trace.network = fluid_legacy.FluidNetwork(
+                    {"net_in": 1.0, "cpu": 1.0, "net_out": 1.0}, per_job_caps={"cpu": 1.0}
+                )
+            htm.commit("artimon", task_of(1800, "first"), now=0.0)
+            htm.predict("artimon", task_of(1200, "second"), now=1.0)
+            counts.append(trace.whatif_stage_events)
+        assert counts[0] == counts[1] == 9
+
+    def test_what_if_leaves_the_live_network_alone(self):
+        htm = make_htm()
+        htm.commit("artimon", task_of(1800, "first"), now=0.0)
+        trace = htm.trace("artimon")
+        live = trace.network
+        before = (live.time, live.version, live.counters())
+        completions = trace.what_if()
+        assert set(completions) == {"first"}
+        assert (live.time, live.version, live.counters()) == before
+        assert trace.whatif_stage_events == 3
+        assert not live.task("first").finished
+
+
 class TestCommitAndSync:
     def test_commit_tracks_placement_and_local_number(self):
         htm = make_htm()

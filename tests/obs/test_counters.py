@@ -42,6 +42,44 @@ class TestMiddlewareCounters:
             > 0
         )
 
+    def test_what_if_work_is_counted(
+        self, first_platform, small_matmul_metatask, quiet_config
+    ):
+        middleware = GridMiddleware(first_platform, "hmct", config=quiet_config)
+        middleware.run(small_matmul_metatask)
+        counters = middleware_counters(middleware)
+        htm = middleware.agent.htm
+        traces = [htm.trace(server) for server in htm.servers()]
+        assert counters["htm.whatif.steps"] == sum(t.whatif_steps for t in traces)
+        assert counters["htm.whatif.stage_events"] == sum(
+            t.whatif_stage_events for t in traces
+        )
+        # every prediction's copy completes the three stages of the new task
+        assert counters["htm.whatif.stage_events"] >= 3 * counters["htm.predicts"]
+        assert counters["htm.whatif.steps"] >= counters["htm.predicts"]
+        # the live traces' own work is counted apart from the copies'
+        assert counters["htm.fluid.steps"] > 0
+        assert counters["fluid.steps"] > 0
+
+    def test_counters_stay_out_of_run_records(self):
+        import numpy as np
+
+        from repro.experiments import ExperimentConfig, ExperimentScale, run_campaign
+        from repro.workload.testbed import first_set_platform, matmul_metatask
+
+        config = ExperimentConfig(
+            scale=ExperimentScale(name="tiny", task_count=10, metatask_count=1),
+            seed=42,
+        )
+        metatask = matmul_metatask(10, 20.0, rng=np.random.default_rng(42), name="m")
+        table = run_campaign("t", "t", first_set_platform(), [metatask], config)
+        runs = [run for outcome in table.outcomes.values() for run in outcome.runs]
+        assert any(run.counters.get("htm.whatif.steps") for run in runs)
+        for record in table.result_set:
+            assert not any(
+                name.startswith(("fluid.", "htm.")) for name in record.metrics
+            )
+
     def test_mct_has_no_htm_counters(
         self, first_platform, small_matmul_metatask, quiet_config
     ):
