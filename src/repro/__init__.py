@@ -2,7 +2,7 @@
 
 The library is organised in five layers (see the package map in README.md):
 
-* :mod:`repro.simulation` — a SimPy-style discrete-event engine and the fluid
+* :mod:`repro.simulation` — a discrete-event callback calendar and the fluid
   processor-sharing model of Section 2.3;
 * :mod:`repro.platform` — the simulated NetSolve middleware (servers, agent,
   monitors, clients, faults): the ground truth;

@@ -105,9 +105,11 @@ _WRITE_MODES = set("wax+")
 
 @register
 class AtomicIoRule(Rule):
-    """IO-ATOMIC — persistence-layer writes go through the atomic helpers.
+    """IO-ATOMIC — file outputs go through the atomic helpers.
 
-    In ``repro/store/`` and ``repro/results/``, a plain ``open(path, "w")``
+    In ``repro/store/`` and ``repro/results/`` (persistence) and in
+    ``repro/obs/`` and ``repro/bench/`` (traces, metric series, dashboards
+    and reports), a plain ``open(path, "w")``
     (or ``Path.write_text`` / ``write_bytes``) can leave a torn file behind a
     crash.  All writes must route through
     :func:`repro.store.journal.atomic_write_text` or the
@@ -116,7 +118,7 @@ class AtomicIoRule(Rule):
     """
 
     id = "IO-ATOMIC"
-    title = "store/results writes must use the atomic temp+replace helpers"
+    title = "store/results/obs/bench writes must use the atomic temp+replace helpers"
     rationale = (
         "A torn results or stats file is indistinguishable from data "
         "corruption; temp-file + os.replace + fsync is the only crash-safe "
@@ -125,7 +127,9 @@ class AtomicIoRule(Rule):
 
     def applies_to(self, rel: str) -> bool:
         return (
-            rel.startswith(("repro/store/", "repro/results/"))
+            rel.startswith(
+                ("repro/store/", "repro/results/", "repro/obs/", "repro/bench/")
+            )
             and rel != "repro/store/journal.py"
         )
 
@@ -150,7 +154,7 @@ class AtomicIoRule(Rule):
                     yield module.finding(
                         self.id,
                         node,
-                        f"open(..., {mode!r}) in a persistence module — "
+                        f"open(..., {mode!r}) in an output module — "
                         "write through atomic_write_text or the Journal WAL",
                     )
             elif isinstance(node.func, ast.Attribute) and node.func.attr in (

@@ -11,12 +11,11 @@ comparisons.  Saved atomically, loaded with a schema check, diffed by
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ResultsError
+from ..store.journal import atomic_write_text
 
 __all__ = ["SCHEMA", "BenchCaseResult", "BenchReport"]
 
@@ -106,22 +105,8 @@ class BenchReport:
 
     def save_json(self, path: str) -> str:
         """Atomically write the report to ``path`` and return it."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        handle, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".bench-report-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as tmp:
-                json.dump(self.as_dict(), tmp, indent=2, allow_nan=False)
-                tmp.write("\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        return path
+        text = json.dumps(self.as_dict(), indent=2, allow_nan=False)
+        return atomic_write_text(path, text + "\n")
 
     @classmethod
     def load_json(cls, path: str) -> "BenchReport":

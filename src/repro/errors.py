@@ -11,7 +11,6 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "EmptySchedule",
-    "StopProcess",
     "PlatformError",
     "ServerCollapsed",
     "TaskRejected",
@@ -42,14 +41,6 @@ class SimulationError(ReproError):
 
 class EmptySchedule(SimulationError):
     """Raised by :meth:`repro.simulation.Environment.step` when no event is left."""
-
-
-class StopProcess(SimulationError):
-    """Raised inside a process generator to terminate it with a return value."""
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
 
 
 # --------------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..store.journal import atomic_write_text
 from .metrics import CellMetrics
 from .trace import CellTrace, TraceEvent
 
@@ -160,7 +161,6 @@ def write_chrome_trace(
 ) -> int:
     """Write the Chrome trace JSON for ``cell_traces``; returns the event count."""
     document = chrome_trace(cell_traces, cell_metrics)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, separators=(",", ":"), allow_nan=False)
-        handle.write("\n")
+    text = json.dumps(document, separators=(",", ":"), allow_nan=False)
+    atomic_write_text(path, text + "\n")
     return len(document["traceEvents"])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..store.journal import atomic_write_text
 from .metrics import SeriesView
 
 __all__ = [
@@ -240,7 +241,4 @@ def write_metrics_html(
 ) -> str:
     """Write the HTML report to ``path`` and return the path."""
     document = render_metrics_html(views, columns=columns, title=title)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(document)
-        handle.write("\n")
-    return path
+    return atomic_write_text(path, document + "\n")

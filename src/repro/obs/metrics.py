@@ -31,6 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..store.journal import atomic_write_text
+
 __all__ = [
     "MetricSeries",
     "MetricsSampler",
@@ -261,18 +263,14 @@ def write_metrics_jsonl(path: str, cell_metrics: Iterable[CellMetrics]) -> int:
     cell series, which is what the ``--jobs`` byte-identity check diffs.
     """
     cells = list(cell_metrics)
-    samples = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        header = {"schema": SCHEMA, "cells": len(cells)}
-        handle.write(json.dumps(header, separators=(",", ":"), allow_nan=False))
-        handle.write("\n")
-        for cell in cells:
-            rows_by_time = zip(*cell.values) if cell.values else ()
-            for t, row in zip(cell.times, rows_by_time):
-                handle.write(sample_line(cell.cell_id, t, cell.columns, row))
-                handle.write("\n")
-                samples += 1
-    return samples
+    header = {"schema": SCHEMA, "cells": len(cells)}
+    lines = [json.dumps(header, separators=(",", ":"), allow_nan=False)]
+    for cell in cells:
+        rows_by_time = zip(*cell.values) if cell.values else ()
+        for t, row in zip(cell.times, rows_by_time):
+            lines.append(sample_line(cell.cell_id, t, cell.columns, row))
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    return len(lines) - 1
 
 
 def read_metrics_jsonl(path: str) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
@@ -338,21 +336,17 @@ def write_metrics_csv(path: str, cell_metrics: Iterable[CellMetrics]) -> int:
         for name in cell.columns:
             if name not in all_columns:
                 all_columns.append(name)
-    samples = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(["cell", "t"] + all_columns))
-        handle.write("\n")
-        for cell in cells:
-            have = set(cell.columns)
-            rows_by_time = zip(*cell.values) if cell.values else ()
-            for t, row in zip(cell.times, rows_by_time):
-                by_name = dict(zip(cell.columns, row))
-                fields = [cell.cell_id, json.dumps(t, allow_nan=False)]
-                fields.extend(
-                    json.dumps(by_name[name], allow_nan=False) if name in have else ""
-                    for name in all_columns
-                )
-                handle.write(",".join(fields))
-                handle.write("\n")
-                samples += 1
-    return samples
+    lines = [",".join(["cell", "t"] + all_columns)]
+    for cell in cells:
+        have = set(cell.columns)
+        rows_by_time = zip(*cell.values) if cell.values else ()
+        for t, row in zip(cell.times, rows_by_time):
+            by_name = dict(zip(cell.columns, row))
+            fields = [cell.cell_id, json.dumps(t, allow_nan=False)]
+            fields.extend(
+                json.dumps(by_name[name], allow_nan=False) if name in have else ""
+                for name in all_columns
+            )
+            lines.append(",".join(fields))
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    return len(lines) - 1

@@ -17,11 +17,10 @@ times are not, and neither may reach records, traces or fingerprints.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..store.journal import atomic_write_text
 from .counters import merge_counters
 
 __all__ = ["PerfReportObserver", "PerfReport"]
@@ -170,22 +169,8 @@ class PerfReport:
 
     def save_json(self, path: str) -> str:
         """Atomically write the report to ``path`` and return it."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        handle, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".perf-report-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as tmp:
-                json.dump(self.as_dict(), tmp, indent=2, allow_nan=False)
-                tmp.write("\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        return path
+        text = json.dumps(self.as_dict(), indent=2, allow_nan=False)
+        return atomic_write_text(path, text + "\n")
 
     def render(self) -> str:
         """Human-readable summary (the CLI's default output)."""

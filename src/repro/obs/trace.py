@@ -27,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from ..store.journal import atomic_write_text
+
 __all__ = [
     "TraceEvent",
     "Tracer",
@@ -143,23 +145,19 @@ def write_trace_jsonl(path: str, cell_traces: Iterable[CellTrace]) -> int:
     with its cell coordinates.  A cell whose tracer dropped events contributes
     one ``trace.dropped`` marker line so truncation is never silent.
     """
-    lines = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for cell in cell_traces:
-            for event in cell.events:
-                handle.write(event_line(event, cell))
-                handle.write("\n")
-                lines += 1
-            if cell.dropped:
-                marker = TraceEvent(
-                    t=cell.events[0].t if cell.events else 0.0,
-                    kind="trace.dropped",
-                    data=(("count", cell.dropped),),
-                )
-                handle.write(event_line(marker, cell))
-                handle.write("\n")
-                lines += 1
-    return lines
+    lines: List[str] = []
+    for cell in cell_traces:
+        for event in cell.events:
+            lines.append(event_line(event, cell))
+        if cell.dropped:
+            marker = TraceEvent(
+                t=cell.events[0].t if cell.events else 0.0,
+                kind="trace.dropped",
+                data=(("count", cell.dropped),),
+            )
+            lines.append(event_line(marker, cell))
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    return len(lines)
 
 
 def read_trace_jsonl(path: str) -> List[Dict[str, object]]:

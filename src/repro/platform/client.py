@@ -3,17 +3,18 @@
 A client "is a program that requests for computational resources.  It asks
 the agent to find a set of the most suitable servers that are able to solve
 its problems" (Section 2.1), then performs an RPC-like call to the chosen
-server.  In the simulation, a :class:`Client` is a process that walks through
-the tasks of a metatask in arrival order, submits each one to the middleware
-at its arrival date, and records nothing else — every observable quantity
-lives on the :class:`~repro.workload.tasks.Task` objects themselves.
+server.  In the simulation, a :class:`Client` is a self-rescheduling calendar
+callback that walks through the tasks of a metatask in arrival order, submits
+each one to the middleware at its arrival date, and records nothing else —
+every observable quantity lives on the :class:`~repro.workload.tasks.Task`
+objects themselves.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from ..simulation import Environment
+from ..simulation import URGENT, Environment
 from ..workload.tasks import Task
 
 __all__ = ["Client"]
@@ -50,16 +51,26 @@ class Client:
         self.submitted = 0
         for task in self.tasks:
             task.client = name
-        self.process = env.process(self._run(), name=f"client-{name}")
+        env.schedule(0.0, self._submit_due, priority=URGENT)
 
-    def _run(self):
-        for task in self.tasks:
-            delay = task.arrival - self.env.now
+    def _submit_due(self) -> None:
+        """Submit every task whose arrival date has come, then wait for the next."""
+        while self.submitted < len(self.tasks):
+            delay = self.tasks[self.submitted].arrival - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            self._submit(task)
-            self.submitted += 1
-        return self.submitted
+                self.env.schedule(delay, self._on_arrival)
+                return
+            self._submit_one()
+
+    def _on_arrival(self) -> None:
+        # The task is due: recomputing ``arrival - now`` could leave a
+        # rounding residue and schedule a second wait.
+        self._submit_one()
+        self._submit_due()
+
+    def _submit_one(self) -> None:
+        self._submit(self.tasks[self.submitted])
+        self.submitted += 1
 
     def __repr__(self) -> str:
         return f"<Client {self.name} submitted={self.submitted}/{len(self.tasks)}>"

@@ -21,7 +21,7 @@ from ..core.heuristics import Heuristic, create_heuristic
 from ..core.htm import HistoricalTraceManager
 from ..errors import NoCandidateServer, PlatformError, TaskRejected
 from ..obs import MetricSeries, MetricsSampler, TraceEvent, Tracer, middleware_counters
-from ..simulation import Environment, RandomStreams
+from ..simulation import URGENT, Environment, RandomStreams
 from ..workload.metatask import Metatask
 from ..workload.problems import ProblemCatalogue, PAPER_CATALOGUE
 from ..workload.tasks import Task, TaskStatus
@@ -250,13 +250,12 @@ class GridMiddleware:
         self._submitted_count = 0
         self._completed_count = 0
         self._failed_count = 0
-        self._finished_event = None
         self._ran = False
 
     def _wire_fault_schedule(self) -> None:
         """Turn the configured fault schedule into simulation-clock callbacks.
 
-        Every window boundary becomes a timeout on the environment's calendar,
+        Every window boundary becomes a calendar entry of the environment,
         so the schedule replays identically under every heuristic and every
         campaign executor (it depends on the simulated clock only).
         """
@@ -269,9 +268,9 @@ class GridMiddleware:
                 f"fault schedule targets unknown servers {sorted(unknown)}; "
                 f"platform has {sorted(self.servers)}"
             )
-        # Same-instant timeouts fire in creation order, so the wiring order
-        # encodes the boundary semantics of back-to-back windows (declaration
-        # order is not required to be sorted):
+        # Same-instant calendar entries run in creation order, so the wiring
+        # order encodes the boundary semantics of back-to-back windows
+        # (declaration order is not required to be sorted):
         # * slowdowns interleave start/end in chronological order — the old
         #   window's end-callback (restore 1.0) must fire before the new
         #   window's start-callback, or it would undo it;
@@ -285,49 +284,46 @@ class GridMiddleware:
         unknown_kinds = [w for w in ordered if not isinstance(w, (SlowdownWindow, OutageWindow))]
         if unknown_kinds:  # pragma: no cover - defensive
             raise PlatformError(f"unknown fault window type {type(unknown_kinds[0])!r}")
-        tracer = self.tracer
         for window in slowdowns:
             server = self.servers[window.server]
-            start = self.env.timeout(window.start_s)
-            start.callbacks.append(
-                lambda _evt, s=server, f=window.factor: s.set_slowdown(f)
+            self._at_fault_edge(
+                window.start_s,
+                lambda s=server, f=window.factor: s.set_slowdown(f),
+                "fault.slowdown.begin",
+                server=window.server,
+                factor=window.factor,
             )
-            if tracer is not None:
-                start.callbacks.append(
-                    lambda _evt, t=window.start_s, n=window.server, f=window.factor: tracer.emit(
-                        t, "fault.slowdown.begin", server=n, factor=f
-                    )
-                )
-            end = self.env.timeout(window.end_s)
-            end.callbacks.append(lambda _evt, s=server: s.set_slowdown(1.0))
-            if tracer is not None:
-                end.callbacks.append(
-                    lambda _evt, t=window.end_s, n=window.server: tracer.emit(
-                        t, "fault.slowdown.end", server=n
-                    )
-                )
+            self._at_fault_edge(
+                window.end_s,
+                lambda s=server: s.set_slowdown(1.0),
+                "fault.slowdown.end",
+                server=window.server,
+            )
         for window in outages:
-            start = self.env.timeout(window.start_s)
-            start.callbacks.append(
-                lambda _evt, s=self.servers[window.server]: s.begin_outage()
+            self._at_fault_edge(
+                window.start_s,
+                self.servers[window.server].begin_outage,
+                "fault.outage.begin",
+                server=window.server,
             )
-            if tracer is not None:
-                start.callbacks.append(
-                    lambda _evt, t=window.start_s, n=window.server: tracer.emit(
-                        t, "fault.outage.begin", server=n
-                    )
-                )
         for window in outages:
-            end = self.env.timeout(window.end_s)
-            end.callbacks.append(
-                lambda _evt, s=self.servers[window.server]: s.end_outage()
+            self._at_fault_edge(
+                window.end_s,
+                self.servers[window.server].end_outage,
+                "fault.outage.end",
+                server=window.server,
             )
+
+    def _at_fault_edge(self, at: float, action, kind: str, **payload) -> None:
+        """Schedule one fault-window boundary: run ``action``, then trace it."""
+        tracer = self.tracer
+
+        def edge() -> None:
+            action()
             if tracer is not None:
-                end.callbacks.append(
-                    lambda _evt, t=window.end_s, n=window.server: tracer.emit(
-                        t, "fault.outage.end", server=n
-                    )
-                )
+                tracer.emit(at, kind, **payload)
+
+        self.env.schedule(at, edge)
 
     # ------------------------------------------------------------------ #
     # setup helpers
@@ -417,8 +413,7 @@ class GridMiddleware:
             # fires; flipping it eagerly here made the task misreport as
             # submitted for ``retry_delay_s`` seconds, so a concurrent
             # terminal check could miscount it as in flight.
-            timeout = self.env.timeout(delay)
-            timeout.callbacks.append(lambda _evt, t=task: self._redispatch(t))
+            self.env.schedule(delay, lambda t=task: self._redispatch(t))
         else:
             self._task_terminal(task)
 
@@ -443,15 +438,15 @@ class GridMiddleware:
             self._completed_count += 1
         else:
             self._failed_count += 1
-        if self._finished_event is not None and self._terminal >= self._expected:
-            if not self._finished_event.triggered:
-                self._finished_event.succeed()
+        if self._terminal == self._expected:
+            # Stop once the entries already due at this instant have run.
+            self.env.schedule(0.0, self.env.stop)
 
     # ------------------------------------------------------------------ #
     # metric sampling
     # ------------------------------------------------------------------ #
-    def _metrics_loop(self):
-        """Self-rescheduling sampling process (the LoadMonitor idiom).
+    def _sample_tick(self) -> None:
+        """Self-rescheduling sampling callback (the LoadMonitor idiom).
 
         Samples at t=0 and then every ``sampler.interval`` virtual seconds.
         The loop only ever *reads* state, so the extra calendar entries can
@@ -459,9 +454,8 @@ class GridMiddleware:
         unsampled run's, and the samples themselves are byte-identical at
         any ``--jobs`` level.
         """
-        while True:
-            self._take_sample()
-            yield self.env.timeout(self.sampler.interval)
+        self._take_sample()
+        self.env.schedule(self.sampler.interval, self._sample_tick)
 
     def _take_sample(self) -> None:
         """Append one metric row at the current virtual time (idempotent)."""
@@ -526,13 +520,17 @@ class GridMiddleware:
 
         self._tasks = tasks
         self._expected = len(tasks)
-        self._finished_event = self.env.event()
         Client(self.env, client_name, tasks, submit=self.submit)
         if self.sampler is not None:
-            self.env.process(self._metrics_loop(), name="metrics-sampler")
+            self.env.schedule(0.0, self._sample_tick, priority=URGENT)
 
-        horizon = self.env.timeout(self.config.max_horizon_s)
-        self.env.run(until=self.env.any_of([self._finished_event, horizon]))
+        # The run stops at the last terminal task (see _task_terminal) or at
+        # the safety horizon, whichever comes first.  The horizon stops
+        # unconditionally: a zero-task run has no last task to stop it.
+        self.env.schedule(
+            self.config.max_horizon_s, lambda: self.env.schedule(0.0, self.env.stop)
+        )
+        self.env.run()
 
         truncated = self._terminal < self._expected
         if truncated:

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 import numpy as np
 
 from ..errors import PlatformError, TaskRejected
-from ..simulation import Environment, FluidEvent, FluidNetwork, FluidStage
+from ..simulation import URGENT, Environment, FluidEvent, FluidNetwork, FluidStage
 from ..workload.problems import PhaseCosts, ProblemCatalogue
 from ..workload.tasks import Task
 from .faults import MemoryModel, SpeedNoiseModel
@@ -163,7 +163,9 @@ class ComputeServer:
         self.on_recovery: List[Callable[["ComputeServer", float], None]] = []
 
         if self.noise_model is not None and self.noise_model.enabled:
-            self.env.process(self._noise_process(), name=f"noise-{self.name}")
+            # Started from an URGENT time-zero entry, like every periodic
+            # loop: that fixes the redraws' place among same-instant entries.
+            self.env.schedule(0.0, self._schedule_noise_redraw, priority=URGENT)
 
     # ------------------------------------------------------------------ #
     # introspection (used by monitors and tests, never by heuristics directly)
@@ -355,8 +357,7 @@ class ComputeServer:
         self._go_down(now, "collapsed (out of memory)")
         # Schedule the recovery.
         self._collapse_recovery_at = now + self.memory_model.recovery_s
-        recovery = self.env.timeout(self.memory_model.recovery_s)
-        recovery.callbacks.append(lambda _evt: self._recover_from_collapse())
+        self.env.schedule(self.memory_model.recovery_s, self._recover_from_collapse)
 
     def _recover_from_collapse(self) -> None:
         """The memory model's mandated downtime is over; recover unless a
@@ -431,15 +432,16 @@ class ComputeServer:
             )
             self._handle_events(events)
 
-    def _noise_process(self):
-        """Background process redrawing the CPU speed noise factor."""
-        assert self.noise_model is not None
-        while True:
-            yield self.env.timeout(self.noise_model.period_s)
-            self._advance(self.env.now)
-            self._noise_factor = self.noise_model.draw_factor(self._rng)
-            self._refresh_cpu_capacity()
-            self._sync_wakeup()
+    def _schedule_noise_redraw(self) -> None:
+        self.env.schedule(self.noise_model.period_s, self._redraw_noise)
+
+    def _redraw_noise(self) -> None:
+        """Redraw the CPU speed noise factor, then wait for the next period."""
+        self._advance(self.env.now)
+        self._noise_factor = self.noise_model.draw_factor(self._rng)
+        self._refresh_cpu_capacity()
+        self._sync_wakeup()
+        self._schedule_noise_redraw()
 
     # ------------------------------------------------------------------ #
     # wakeup bookkeeping
@@ -452,8 +454,7 @@ class ComputeServer:
         self._wake_token += 1
         token = self._wake_token
         delay = max(0.0, t_next - self.env.now)
-        timeout = self.env.timeout(delay)
-        timeout.callbacks.append(lambda _evt, tok=token: self._on_wakeup(tok))
+        self.env.schedule(delay, lambda tok=token: self._on_wakeup(tok))
 
     def _on_wakeup(self, token: int) -> None:
         if token != self._wake_token:

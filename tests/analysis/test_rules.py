@@ -379,6 +379,16 @@ class TestIoAtomic:
         )
         assert len(found) == 1
 
+    @pytest.mark.parametrize("rel", ["repro/obs/example.py", "repro/bench/example.py"])
+    def test_obs_and_bench_writers_are_covered(self, rel):
+        source = """
+            def save(path, text):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            """
+        assert len(findings_for(source, rel, "IO-ATOMIC")) == 1
+        assert not findings_for(source, "repro/platform/example.py", "IO-ATOMIC")
+
     def test_journal_module_is_exempt(self):
         assert not findings_for(
             """

@@ -120,9 +120,8 @@ class TestScheduledOutage:
             server.on_recovery.append(lambda _s, at: recoveries.append(at))
             probes = {}
             for at in (150.0, 250.0, 350.0):
-                timeout = middleware.env.timeout(at)
-                timeout.callbacks.append(
-                    lambda _evt, t=at: probes.__setitem__(t, server.is_up)
+                middleware.env.schedule(
+                    at, lambda t=at: probes.__setitem__(t, server.is_up)
                 )
             middleware.env.run(until=400.0)
             assert probes == {150.0: False, 250.0: False, 350.0: True}, windows
@@ -152,8 +151,7 @@ class TestScheduledOutage:
             (30.0, lambda: probes.__setitem__(30.0, server.is_up)),
             (150.0, lambda: probes.__setitem__(150.0, server.is_up)),
         ):
-            timeout = env.timeout(at - env.now) if at > env.now else env.timeout(0)
-            timeout.callbacks.append(lambda _evt, f=action: f())
+            env.schedule(at, action)
         env.run(until=200.0)
         assert probes == {30.0: False, 150.0: True}
 
@@ -220,9 +218,8 @@ class TestScheduledSlowdown:
             factors = {}
             server = middleware.servers["spinnaker"]
             for at in (5.0, 15.0):
-                timeout = middleware.env.timeout(at)
-                timeout.callbacks.append(
-                    lambda _evt, t=at: factors.__setitem__(t, server._slowdown_factor)
+                middleware.env.schedule(
+                    at, lambda t=at: factors.__setitem__(t, server._slowdown_factor)
                 )
             middleware.env.run(until=20.0)
             assert factors == {5.0: 0.5, 15.0: 0.3}, windows

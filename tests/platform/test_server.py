@@ -65,12 +65,11 @@ class TestSingleTaskExecution:
         server.submit(first)
 
         def late_submission():
-            yield env.timeout(30.0)
             second = make_task("second", size=1200, arrival=30.0)
             second.new_attempt("artimon", 30.0)
             server.submit(second)
 
-        env.process(late_submission())
+        env.schedule(30.0, late_submission)
         env.run()
         assert first.completed and first.completion_time > 63.0
 
@@ -200,12 +199,15 @@ class TestMonitoringViews:
             task.new_attempt("artimon", 0.0)
             server.submit(task)
 
-        def probe():
-            yield env.timeout(60.0)
-            return server.load_average()
+        loads = []
 
-        load = env.run(until=env.process(probe()))
-        assert load > 1.0
+        def probe():
+            loads.append(server.load_average())
+            env.stop()
+
+        env.schedule(60.0, probe)
+        env.run()
+        assert env.now == 60.0 and loads[0] > 1.0
 
     def test_speed_noise_changes_completion_times(self, env):
         noisy = make_server(env, noise=SpeedNoiseModel(relative_sigma=0.3, period_s=5.0))

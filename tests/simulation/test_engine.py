@@ -1,12 +1,13 @@
-"""Unit tests of the discrete-event engine (environment, events, processes)."""
+"""Unit tests of the discrete-event engine: the clock and its callback calendar."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.errors import EmptySchedule, SimulationError
-from repro.simulation import Environment, Interrupt
-from repro.simulation.events import AllOf, AnyOf, Condition, ConditionValue
+from repro.errors import EmptySchedule
+from repro.simulation import NORMAL, URGENT, Environment
 
 
 class TestClockAndCalendar:
@@ -21,232 +22,148 @@ class TestClockAndCalendar:
             env.step()
 
     def test_peek_returns_infinity_when_empty(self, env):
-        assert env.peek() == float("inf")
+        assert env.peek() == math.inf
 
-    def test_timeout_advances_clock(self, env):
-        env.timeout(10.0)
-        env.run()
-        assert env.now == 10.0
+    def test_peek_returns_the_next_entry_time(self, env):
+        env.schedule(7.0, lambda: None)
+        env.schedule(3.0, lambda: None)
+        assert env.peek() == 3.0
+
+    def test_step_moves_the_clock_and_runs_the_callback(self, env):
+        seen = []
+        env.schedule(10.0, lambda: seen.append(env.now))
+        env.step()
+        assert env.now == 10.0 and seen == [10.0]
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            env.timeout(-1.0)
+            env.schedule(-1.0, lambda: None)
 
-    def test_run_until_number_stops_at_that_time(self, env):
-        env.timeout(100.0)
+    def test_delay_counts_from_the_current_time(self, env):
+        seen = []
+        env.schedule(4.0, lambda: env.schedule(2.5, lambda: seen.append(env.now)))
+        env.run()
+        assert seen == [6.5]
+
+    def test_self_rescheduling_callback_runs_periodically(self, env):
+        seen = []
+
+        def tick():
+            seen.append(env.now)
+            env.schedule(10.0, tick)
+
+        env.schedule(0.0, tick)
+        env.run(until=35.0)
+        assert seen == [0.0, 10.0, 20.0, 30.0]
+
+
+class TestOrder:
+    def test_entries_run_in_time_then_insertion_order(self, env):
+        order = []
+        for label, delay in (("b", 5.0), ("a", 1.0), ("c", 5.0)):
+            env.schedule(delay, lambda lab=label: order.append(lab))
+        env.run()
+        assert order == ["a", "b", "c"]
+
+    def test_urgent_runs_before_normal_at_the_same_time(self, env):
+        order = []
+        env.schedule(1.0, lambda: order.append("normal"))
+        env.schedule(1.0, lambda: order.append("urgent"), priority=URGENT)
+        env.schedule(1.0, lambda: order.append("normal-2"), priority=NORMAL)
+        env.run()
+        assert order == ["urgent", "normal", "normal-2"]
+
+    def test_priority_never_beats_an_earlier_time(self, env):
+        order = []
+        env.schedule(2.0, lambda: order.append("urgent-later"), priority=URGENT)
+        env.schedule(1.0, lambda: order.append("normal-earlier"))
+        env.run()
+        assert order == ["normal-earlier", "urgent-later"]
+
+    def test_same_instant_entry_added_by_a_callback_runs_last(self, env):
+        order = []
+
+        def first():
+            order.append("a")
+            env.schedule(0.0, lambda: order.append("c"))
+
+        env.schedule(1.0, first)
+        env.schedule(1.0, lambda: order.append("b"))
+        env.run()
+        assert order == ["a", "b", "c"]
+
+
+class TestRun:
+    def test_run_without_until_drains_the_calendar(self, env):
+        env.schedule(3.0, lambda: None)
+        env.schedule(8.0, lambda: None)
+        env.run()
+        assert env.now == 8.0 and env.peek() == math.inf
+
+    def test_run_until_leaves_the_clock_at_that_time(self, env):
+        seen = []
+        env.schedule(10.0, lambda: seen.append(10.0))
+        env.schedule(100.0, lambda: seen.append(100.0))
         env.run(until=30.0)
-        assert env.now == 30.0
+        assert env.now == 30.0 and seen == [10.0]
+        assert env.peek() == 100.0
+
+    def test_run_until_on_an_empty_calendar_moves_the_clock(self, env):
+        env.run(until=25.0)
+        assert env.now == 25.0
+
+    def test_run_until_runs_entries_due_exactly_then(self, env):
+        seen = []
+        env.schedule(30.0, lambda: seen.append(env.now))
+        env.run(until=30.0)
+        assert seen == [30.0] and env.now == 30.0
 
     def test_run_until_past_time_rejected(self, env):
         env.run(until=10.0)
         with pytest.raises(ValueError):
             env.run(until=5.0)
 
-    def test_events_processed_in_time_then_insertion_order(self, env):
+    def test_stop_ends_run_after_the_current_callback(self, env):
         order = []
-        for label, delay in (("b", 5.0), ("a", 1.0), ("c", 5.0)):
-            timeout = env.timeout(delay)
-            timeout.callbacks.append(lambda _evt, lab=label: order.append(lab))
+
+        def stopper():
+            env.stop()
+            order.append("stopper")
+
+        env.schedule(1.0, stopper)
+        env.schedule(1.0, lambda: order.append("after"))
+        env.run(until=50.0)
+        assert order == ["stopper"]
+        assert env.now == 1.0  # a stopped run does not move on to ``until``
+
+    def test_a_later_run_resumes_after_stop(self, env):
+        order = []
+        env.schedule(1.0, env.stop)
+        env.schedule(2.0, lambda: order.append("resumed"))
         env.run()
-        assert order == ["a", "b", "c"]
-
-
-class TestEvents:
-    def test_succeed_sets_value_and_ok(self, env):
-        event = env.event()
-        event.succeed("payload")
+        assert env.now == 1.0 and order == []
         env.run()
-        assert event.processed
-        assert event.ok
-        assert event.value == "payload"
+        assert env.now == 2.0 and order == ["resumed"]
 
-    def test_double_trigger_rejected(self, env):
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
+    def test_callback_exception_propagates_out_of_run(self, env):
+        def boom():
+            raise RuntimeError("boom")
 
-    def test_value_before_trigger_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.event().value
-
-    def test_fail_requires_an_exception(self, env):
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
-
-    def test_unhandled_failed_event_raises_at_step(self, env):
-        event = env.event()
-        event.fail(RuntimeError("boom"))
+        env.schedule(1.0, boom)
         with pytest.raises(RuntimeError, match="boom"):
             env.run()
+        assert env.now == 1.0
 
-    def test_defused_failed_event_does_not_raise(self, env):
-        event = env.event()
-        event.fail(RuntimeError("boom"))
-        event.defused = True
+    def test_run_dispatches_every_entry_through_step(self):
+        class CountingEnvironment(Environment):
+            steps = 0
+
+            def step(self):
+                CountingEnvironment.steps += 1
+                super().step()
+
+        env = CountingEnvironment()
+        for delay in (1.0, 2.0, 2.0):
+            env.schedule(delay, lambda: None)
         env.run()
-        assert not event.ok
-
-
-class TestProcesses:
-    def test_process_return_value_is_event_value(self, env):
-        def worker():
-            yield env.timeout(3.0)
-            return "done"
-
-        process = env.process(worker())
-        value = env.run(until=process)
-        assert value == "done"
-        assert env.now == 3.0
-
-    def test_process_waits_for_multiple_timeouts(self, env):
-        log = []
-
-        def worker():
-            for delay in (1.0, 2.0, 3.0):
-                yield env.timeout(delay)
-                log.append(env.now)
-
-        env.process(worker())
-        env.run()
-        assert log == [1.0, 3.0, 6.0]
-
-    def test_process_can_wait_for_another_process(self, env):
-        def child():
-            yield env.timeout(5.0)
-            return 99
-
-        def parent():
-            result = yield env.process(child())
-            return result * 2
-
-        assert env.run(until=env.process(parent())) == 198
-
-    def test_process_exception_propagates_to_waiter(self, env):
-        def failing():
-            yield env.timeout(1.0)
-            raise ValueError("inner failure")
-
-        def parent():
-            yield env.process(failing())
-
-        with pytest.raises(ValueError, match="inner failure"):
-            env.run(until=env.process(parent()))
-
-    def test_yielding_a_non_event_fails_the_process(self, env):
-        def bad():
-            yield 42
-
-        with pytest.raises(SimulationError):
-            env.run(until=env.process(bad()))
-
-    def test_interrupt_is_raised_inside_process(self, env):
-        caught = []
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as exc:
-                caught.append((exc.cause, env.now))
-
-        victim_process = env.process(victim())
-
-        def attacker():
-            yield env.timeout(10.0)
-            victim_process.interrupt("stop it")
-
-        env.process(attacker())
-        env.run(until=victim_process)
-        assert caught == [("stop it", 10.0)]
-        assert env.now == 10.0
-
-    def test_interrupting_finished_process_raises(self, env):
-        def quick():
-            yield env.timeout(1.0)
-
-        process = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_run_until_event_that_never_triggers_raises(self, env):
-        pending = env.event()
-        env.timeout(1.0)
-        with pytest.raises(SimulationError):
-            env.run(until=pending)
-
-    def test_active_process_is_none_between_steps(self, env):
-        def worker():
-            yield env.timeout(1.0)
-
-        env.process(worker())
-        env.run()
-        assert env.active_process is None
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, env):
-        def worker():
-            t1, t2 = env.timeout(2.0, value="a"), env.timeout(5.0, value="b")
-            result = yield env.all_of([t1, t2])
-            return list(result.values())
-
-        assert env.run(until=env.process(worker())) == ["a", "b"]
-        assert env.now == 5.0
-
-    def test_any_of_returns_at_first_event(self, env):
-        def worker():
-            t1, t2 = env.timeout(2.0, value="fast"), env.timeout(5.0, value="slow")
-            result = yield env.any_of([t1, t2])
-            return list(result.values())
-
-        assert env.run(until=env.process(worker())) == ["fast"]
-        assert env.now == 2.0
-
-    def test_and_operator_builds_condition(self, env):
-        def worker():
-            yield env.timeout(1.0) & env.timeout(4.0)
-            return env.now
-
-        assert env.run(until=env.process(worker())) == 4.0
-
-    def test_or_operator_builds_condition(self, env):
-        def worker():
-            yield env.timeout(1.0) | env.timeout(4.0)
-            return env.now
-
-        assert env.run(until=env.process(worker())) == 1.0
-
-    def test_empty_all_of_triggers_immediately(self, env):
-        condition = env.all_of([])
-        env.run()
-        assert condition.processed
-        assert isinstance(condition.value, ConditionValue)
-        assert len(condition.value) == 0
-
-    def test_condition_value_behaves_like_mapping(self, env):
-        t1 = env.timeout(1.0, value=10)
-        t2 = env.timeout(2.0, value=20)
-        condition = env.all_of([t1, t2])
-        env.run()
-        value = condition.value
-        assert value[t1] == 10
-        assert t2 in value
-        assert dict(value.items())[t2] == 20
-        assert value == {t1: 10, t2: 20}
-
-    def test_condition_propagates_failure(self, env):
-        def failing():
-            yield env.timeout(1.0)
-            raise RuntimeError("nope")
-
-        def worker():
-            yield env.all_of([env.process(failing()), env.timeout(10.0)])
-
-        with pytest.raises(RuntimeError, match="nope"):
-            env.run(until=env.process(worker()))
-
-    def test_condition_requires_same_environment(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            Condition(env, Condition.all_events, [env.timeout(1), other.timeout(1)])
+        assert CountingEnvironment.steps == 3
