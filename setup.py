@@ -1,9 +1,7 @@
-"""Setuptools shim.
+"""Setuptools packaging: this file holds the project metadata.
 
-The canonical project metadata lives in ``pyproject.toml``; this file only
-exists so that the package can be installed in editable mode on minimal,
-offline environments where the ``wheel`` package (required by the PEP 517
-editable path of older setuptools) is unavailable::
+There is no ``pyproject.toml``.  Install in editable mode with the legacy
+(non-PEP 517) path, which works offline without the ``wheel`` package::
 
     pip install -e . --no-build-isolation --no-use-pep517
 """

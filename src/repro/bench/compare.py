@@ -34,8 +34,8 @@ class CaseDelta:
     """One case's baseline-vs-current verdict."""
 
     name: str
-    #: ``current wall / baseline wall`` (``None`` when the case is missing
-    #: on either side or the baseline wall time is zero).
+    #: ``current wall / baseline wall - 1``, the relative change (``0.0``
+    #: when the case is missing on either side or the baseline wall is zero).
     wall_ratio: float = 0.0
     wall_base_s: float = 0.0
     wall_current_s: float = 0.0

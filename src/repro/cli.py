@@ -75,7 +75,7 @@ gate)::
     repro bench history runs/bench
 
 The ``--scale`` option trades fidelity for speed: ``full`` is the paper's
-500-task protocol, ``bench`` the benchmark harness size, ``smoke`` a few
+500-task protocol, ``bench`` a 200-task middle ground, ``smoke`` a few
 seconds.  ``--jobs N`` fans campaign cells out over N worker processes;
 results are byte-identical for any value because run seeds derive from cell
 coordinates.  ``--ci-target X`` switches campaigns to sequential stopping:

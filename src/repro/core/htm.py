@@ -167,14 +167,13 @@ class HistoricalTraceManager:
         ``clear_server``); advancing the clock keeps it valid.  Predictions
         are numerically identical to the legacy copy-and-rerun path (up to
         floating-point integration order, well below 1e-6 s); set to ``False``
-        to force the legacy path, e.g. for A/B benchmarking.
+        to force the legacy path, e.g. for an A/B comparison.
 
     Both prediction arms run on the virtual-time fluid core
     (:mod:`repro.simulation.fluid`): a what-if ``copy()`` shares the immutable
     per-job records, and its run to completion takes one fluid step per
     event, in which idle queues only move their clocks.  Large traces thus
-    cost O(events · log J) per what-if (see ``bench_htm_predict_large_n_*``
-    in ``benchmarks/bench_micro.py``).  Typical traces hold only a task or
+    cost O(events · log J) per what-if.  Typical traces hold only a task or
     two, so the fixed cost of each step dominates, and ``predict`` remains
     the largest cost of an HTM heuristic's campaign cell (about two thirds
     of the traced wall time on the ``htm-wide`` workload of ``perfbench/``).

@@ -3,7 +3,8 @@
 The paper motivates several design choices that these ablations quantify, and
 lists two future-work items that the library implements as options.  Each
 ablation returns a :class:`~repro.experiments.runner.TableResult`-style
-comparison so the benchmark harness can print it like the paper's tables.
+comparison so the CLI can print it like the paper's tables; the orderings
+they should show are asserted in ``tests/paper/test_ablations.py``.
 
 * :func:`ablation_monitor_period` — how stale load reports hurt MCT (the HTM
   heuristics do not use them, hence are insensitive).

@@ -76,8 +76,8 @@ FULL_SCALE = ExperimentScale(name="full", task_count=TASKS_PER_METATASK, metatas
 #: A fast scale for unit/integration tests (seconds, not minutes).
 SMOKE_SCALE = ExperimentScale(name="smoke", task_count=60, metatask_count=2, repetitions=1)
 
-#: The scale used by the benchmark harness (a compromise between fidelity and
-#: wall-clock time of `pytest benchmarks/`).
+#: A middle scale between fidelity and wall-clock time (``--scale bench`` and
+#: :mod:`repro.api`).
 BENCH_SCALE = ExperimentScale(name="bench", task_count=200, metatask_count=2, repetitions=1)
 
 #: Named scales, as accepted by the CLI's ``--scale`` and ``repro.api``.

@@ -9,8 +9,7 @@ that the rest of the library builds upon:
 * :class:`ProcessorSharingQueue`, :class:`FluidNetwork` — the egalitarian
   time-sharing model of the paper (Section 2.3), implemented in *virtual
   time* with heap-based event scheduling (O(log J) per event; see
-  :mod:`repro.simulation.fluid`; the pre-virtual-time core survives as the
-  test oracle in :mod:`repro.simulation.fluid_legacy`);
+  :mod:`repro.simulation.fluid`);
 * :class:`RandomStreams` — reproducible named random streams.
 """
 

@@ -48,8 +48,8 @@ R = 3 resources (a binary heap over queue tops only pays off for R ≫ 10).
 where the previous implementation rescanned every job of every queue at every
 event (O(E·R·J) per run), and ``run_to_completion`` takes a single step per
 event; ``copy()`` shares the immutable job records instead of cloning them.
-The pre-virtual-time core is preserved in :mod:`repro.simulation.fluid_legacy`
-as the equivalence oracle for tests and A/B benchmarks.
+The pre-virtual-time core is kept outside the package, under
+``tests/oracles/``, as the equivalence oracle of the tests.
 """
 
 from __future__ import annotations

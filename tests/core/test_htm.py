@@ -124,9 +124,9 @@ class TestWhatIfCounters:
         assert trace.whatif_steps == 2 * steps
 
     def test_legacy_core_trace_counts_the_same_stage_events(self):
-        """The trace API is duck-typed: the large-N benchmarks back a trace
-        with the legacy core, whose counters must feed the same accounting."""
-        from repro.simulation import fluid_legacy
+        """The trace API is duck-typed: a trace backed by the legacy core
+        must feed the same counter accounting."""
+        from oracles import fluid_legacy
 
         counts = []
         for legacy in (False, True):

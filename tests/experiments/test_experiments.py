@@ -139,7 +139,7 @@ class TestTableRunner:
         # At the paper's 500-task scale the makespans are within a few percent
         # of each other; at this 50-task test scale the last-task effect is
         # stronger, so only a loose bound is asserted here (the full-scale
-        # check lives in the benchmark harness).
+        # check lives in tests/paper/).
         makespans = [small_table.value(h, "makespan") for h in small_table.columns]
         assert max(makespans) <= min(makespans) * 1.3
 

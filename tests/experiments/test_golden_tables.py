@@ -3,8 +3,8 @@
 These pin the *exact numbers* produced by the seed's simulation pipeline at a
 small fixed scale (40 tasks, seed 2003) so that future refactors of the
 simulator, the HTM or the campaign engine cannot silently shift the
-reproduced tables.  The shape criteria (who wins, by what factor) live in the
-benchmark harness; this file is about bit-level reproducibility.
+reproduced tables.  The shape criteria (who wins, by what factor) live in
+``tests/paper/``; this file is about bit-level reproducibility.
 
 If a change *intentionally* alters the simulation (a model fix, a different
 integration order), regenerate the snapshots with::

@@ -4,10 +4,11 @@ This is the original O(R·J)-per-event implementation of the fluid core:
 ``next_completion_time`` rescans every job of every queue at every event and
 ``_progress`` decrements every job's ``remaining`` on every slice.  It was
 replaced by the virtual-time core of :mod:`repro.simulation.fluid` and is kept
-**only** as the equivalence oracle — the randomized old-vs-new sweep in
-``tests/simulation/test_fluid_equivalence.py`` and the large-N A/B benchmarks
-in ``benchmarks/bench_micro.py`` compare against it.  Nothing in the library
-itself may import this module; do not add features here.
+**only** as the equivalence oracle of the tests — the randomized old-vs-new
+sweep in ``tests/simulation/test_fluid_equivalence.py``, the active-count
+check in ``tests/simulation/test_fluid_stepping.py`` and the duck-typed trace
+check in ``tests/core/test_htm.py`` compare against it.  It lives outside the
+package so the library cannot import it; do not add features here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
+from repro.errors import SimulationError
 
 __all__ = [
     "EPSILON",

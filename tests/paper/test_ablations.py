@@ -1,14 +1,10 @@
-"""Ablation benchmarks.
+"""The ``ablation-*`` experiments and the paper's two future-work items.
 
-These quantify the design choices behind the ``ablation-*`` experiments (see
-"Reproducing the paper's artefacts" in README.md) and the paper's two
-future-work items.  They run at a reduced scale (the smoke scale of the
-experiment harness) because they sweep several configurations each.
+Each ablation sweeps several configurations, so they run at the reduced
+default scale of :mod:`repro.experiments.ablations`.
 """
 
 from __future__ import annotations
-
-from conftest import attach_table
 
 from repro.experiments.ablations import (
     ablation_arrival_rate_sweep,
@@ -20,10 +16,9 @@ from repro.experiments.ablations import (
 )
 
 
-def bench_ablation_monitor_period(benchmark):
+def test_ablation_monitor_period():
     """Stale load reports: MCT degrades as the monitor period grows, MSF does not."""
-    table = benchmark.pedantic(ablation_monitor_period, rounds=1, iterations=1)
-    attach_table(benchmark, table)
+    table = ablation_monitor_period()
     msf_5 = table.columns["msf @ 5s"]["sumflow"]
     msf_120 = table.columns["msf @ 120s"]["sumflow"]
     # MSF never reads the load reports, so the report period cannot change its
@@ -37,30 +32,27 @@ def bench_ablation_monitor_period(benchmark):
         )
 
 
-def bench_ablation_htm_resync(benchmark):
+def test_ablation_htm_resync():
     """Re-anchoring the HTM on completion messages never hurts (future work #2)."""
-    table = benchmark.pedantic(ablation_htm_resync, rounds=1, iterations=1)
-    attach_table(benchmark, table)
+    table = ablation_htm_resync()
     for heuristic in ("hmct", "msf"):
         with_resync = table.columns[f"{heuristic} (resync)"]["sumflow"]
         without = table.columns[f"{heuristic} (no resync)"]["sumflow"]
         assert with_resync <= without * 1.10
 
 
-def bench_ablation_memory_aware_msf(benchmark):
+def test_ablation_memory_aware_msf():
     """Memory-aware MSF (future work #1) completes at least as many tasks as HMCT."""
-    table = benchmark.pedantic(ablation_memory_aware_msf, rounds=1, iterations=1)
-    attach_table(benchmark, table)
+    table = ablation_memory_aware_msf()
     aware = table.columns["msf (memory aware)"]
     hmct = table.columns["hmct"]
     assert aware["completed tasks"] >= hmct["completed tasks"]
     assert aware["server collapses"] <= hmct["server collapses"]
 
 
-def bench_ablation_communication_model(benchmark):
+def test_ablation_communication_model():
     """Dropping the transfer phases from the HTM keeps the heuristics functional."""
-    table = benchmark.pedantic(ablation_communication_model, rounds=1, iterations=1)
-    attach_table(benchmark, table)
+    table = ablation_communication_model()
     for heuristic in ("hmct", "msf"):
         full = table.columns[f"{heuristic} (3-phase)"]["sumflow"]
         compute_only = table.columns[f"{heuristic} (compute-only)"]["sumflow"]
@@ -69,22 +61,18 @@ def bench_ablation_communication_model(benchmark):
         assert compute_only <= full * 1.25
 
 
-def bench_ablation_dual_cpu(benchmark):
+def test_ablation_dual_cpu():
     """Dual-CPU Xeons lower the contention for every heuristic (Table 2 ambiguity)."""
-    table = benchmark.pedantic(ablation_dual_cpu, rounds=1, iterations=1)
-    attach_table(benchmark, table)
+    table = ablation_dual_cpu()
     for heuristic in ("mct", "mp", "msf"):
         single = table.columns[f"{heuristic} (single-CPU xeons)"]["sumflow"]
         dual = table.columns[f"{heuristic} (dual-CPU xeons)"]["sumflow"]
         assert dual <= single
 
 
-def bench_ablation_arrival_rate_sweep(benchmark):
+def test_ablation_arrival_rate_sweep():
     """The advantage of MSF over MCT grows with the arrival rate."""
-    table = benchmark.pedantic(
-        lambda: ablation_arrival_rate_sweep(rates_s=(30.0, 20.0, 15.0)), rounds=1, iterations=1
-    )
-    attach_table(benchmark, table)
+    table = ablation_arrival_rate_sweep(rates_s=(30.0, 20.0, 15.0))
     gain_low = table.columns["mct"]["sumflow @ 30s"] - table.columns["msf"]["sumflow @ 30s"]
     gain_high = table.columns["mct"]["sumflow @ 15s"] - table.columns["msf"]["sumflow @ 15s"]
     assert gain_high >= gain_low

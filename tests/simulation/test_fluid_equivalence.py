@@ -10,7 +10,7 @@ Two guarantees of the virtual-time rewrite are locked down here:
 * **equivalence** — randomized programs (multi-stage networks with arrivals,
   removals and capacity changes) produce the same trajectories on the new
   core and on the preserved legacy implementation
-  (:mod:`repro.simulation.fluid_legacy`), which is the oracle the refactor is
+  (``tests/oracles/fluid_legacy.py``), which is the oracle the refactor is
   judged against.
 """
 
@@ -21,7 +21,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.simulation import fluid, fluid_legacy
+from oracles import fluid_legacy
+from repro.simulation import fluid
 from repro.simulation.fluid import FluidNetwork, FluidStage, ProcessorSharingQueue
 
 #: Absolute tolerance of the drift regression (seconds over ~10^5 s horizons).
@@ -127,6 +128,22 @@ def random_program(rng: np.random.Generator):
     return capacities, per_job_caps, operations
 
 
+def saturated_program(n: int = 300):
+    """Three-phase tasks whose arrivals outpace service, so the CPU queue keeps
+    growing and the per-event job count reaches O(n) — the legacy core's worst
+    case."""
+    operations = [
+        (
+            "add",
+            i,
+            i * 2.0,
+            (FluidStage("net_in", 1.0), FluidStage("cpu", 10.0 + (i % 5)), FluidStage("net_out", 0.5)),
+        )
+        for i in range(n)
+    ]
+    return {"net_in": 1.0, "cpu": 1.0, "net_out": 1.0}, None, operations
+
+
 def replay(module, capacities, per_job_caps, operations):
     """Run one program on a given fluid implementation; return its trace."""
     network = module.FluidNetwork(dict(capacities), per_job_caps=per_job_caps)
@@ -151,10 +168,12 @@ def replay(module, capacities, per_job_caps, operations):
 
 
 class TestLegacyEquivalence:
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), "saturated"])
     def test_randomized_network_programs_match_the_legacy_core(self, seed):
-        rng = np.random.default_rng(seed)
-        capacities, per_job_caps, operations = random_program(rng)
+        if seed == "saturated":
+            capacities, per_job_caps, operations = saturated_program()
+        else:
+            capacities, per_job_caps, operations = random_program(np.random.default_rng(seed))
         new_events, new_completions, new_network = replay(
             fluid, capacities, per_job_caps, operations
         )
@@ -177,6 +196,7 @@ class TestLegacyEquivalence:
         assert new_network.time == pytest.approx(old_network.time, rel=1e-9, abs=1e-6)
         assert new_network.version == old_network.version
         assert set(new_network.unfinished_keys()) == set(old_network.unfinished_keys())
+        assert not new_network.unfinished_keys()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_queue_programs_match_the_legacy_core(self, seed):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fluid_legacy
 from repro.errors import SimulationError
-from repro.simulation import fluid, fluid_legacy
+from repro.simulation import fluid
 from repro.simulation.fluid import FluidNetwork, FluidStage, ProcessorSharingQueue
 
 RESOURCES = ("net_in", "cpu", "net_out")
