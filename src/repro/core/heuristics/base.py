@@ -77,8 +77,9 @@ class SchedulingContext:
     task: Task
     servers: Tuple[ServerInfo, ...]
     htm: Optional[HistoricalTraceManager] = None
-    #: Optional cache filled by HTM heuristics so the agent can reuse the
-    #: winning prediction when committing (avoids a second simulation).
+    #: Every HTM prediction an HTM heuristic made for this decision, keyed by
+    #: server.  A record for inspection: the agent does not read it, and its
+    #: commit of the chosen server runs no what-if simulation anyway.
     predictions: Dict[str, HtmPrediction] = field(default_factory=dict)
 
     def candidate_servers(self) -> Tuple[ServerInfo, ...]:

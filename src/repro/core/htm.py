@@ -164,9 +164,12 @@ class HistoricalTraceManager:
         instead of deep-copying and re-simulating the whole network per
         candidate server.  The cache is invalidated automatically whenever the
         trace mutates (``commit``, ``notify_completion``, ``notify_failure``,
-        ``clear_server``); advancing the clock keeps it valid.  Predictions
-        are numerically identical to the legacy copy-and-rerun path (up to
-        floating-point integration order, well below 1e-6 s); set to ``False``
+        ``clear_server``); advancing the clock keeps it valid.  A trace with
+        nothing unfinished is not simulated at all: the new task runs alone,
+        and :meth:`~repro.simulation.fluid.FluidNetwork.idle_completion`
+        dates it in closed form.  Predictions are numerically identical to
+        the legacy copy-and-rerun path (up to floating-point integration
+        order, well below 1e-6 s; exactly on idle traces); set to ``False``
         to force the legacy path, e.g. for an A/B comparison.
 
     Both prediction arms run on the virtual-time fluid core
@@ -175,10 +178,12 @@ class HistoricalTraceManager:
     event, in which idle queues only move their clocks.  Large traces thus
     cost O(events · log J) per what-if.  Typical traces hold only a task or
     two, so the fixed cost of each step dominates, and ``predict`` remains
-    the largest cost of an HTM heuristic's campaign cell (about two thirds
-    of the traced wall time on the ``htm-wide`` workload of ``perfbench/``).
-    ``htm.whatif.steps`` and ``htm.whatif.stage_events`` in
-    :func:`repro.obs.counters.middleware_counters` count the copies' work.
+    the largest cost of an HTM heuristic's campaign cell (about 55 % of the
+    traced wall time on the ``htm-wide`` workload of ``perfbench/``, where
+    83 % of the predictions meet an idle trace).  ``htm.whatif.steps`` and
+    ``htm.whatif.stage_events`` in
+    :func:`repro.obs.counters.middleware_counters` count the copies' work,
+    and ``htm.idle_predicts`` the predictions answered in closed form.
     """
 
     def __init__(
@@ -196,6 +201,7 @@ class HistoricalTraceManager:
         # optional trace bus the middleware wires in.  ``tracer is None`` is
         # the zero-overhead-when-off guard on the hooks below.
         self.n_predicts = 0
+        self.n_idle_predicts = 0
         self.n_commits = 0
         self.tracer = None
 
@@ -262,18 +268,26 @@ class HistoricalTraceManager:
         every already-mapped, unfinished task of that server.
         """
         trace = self.trace(server)
-        trace.network.advance_to(now)
-        unfinished = set(trace.network.unfinished_keys())
+        network = trace.network
+        network.advance_to(now)
+        unfinished = set(network.unfinished_keys())
+        stages = self._stages_for(trace, task)
 
-        if self.incremental_predictions:
-            baseline = trace.free_run_completions()
+        if self.incremental_predictions and not unfinished:
+            # Nothing to perturb: the new task runs alone, and its date has a
+            # closed form (no baseline, no copy, no run).
+            baseline: Mapping[object, float] = {}
+            completions_with_all = {task.task_id: network.idle_completion(now, stages)}
+            self.n_idle_predicts += 1
         else:
-            baseline = trace.what_if()
+            if self.incremental_predictions:
+                baseline = trace.free_run_completions()
+            else:
+                baseline = trace.what_if()
+            completions_with_all = trace.what_if(task.task_id, stages, now)
         completions_without = {
             str(k): v for k, v in baseline.items() if k in unfinished
         }
-
-        completions_with_all = trace.what_if(task.task_id, self._stages_for(trace, task), now)
         completions_with = {
             str(k): v for k, v in completions_with_all.items() if k in unfinished
         }

@@ -86,6 +86,7 @@ def middleware_counters(middleware) -> Dict[str, int]:
     htm = agent.htm
     if htm is not None:
         out["htm.predicts"] = htm.n_predicts
+        out["htm.idle_predicts"] = htm.n_idle_predicts
         out["htm.commits"] = htm.n_commits
         hits = misses = whatif_steps = whatif_stage_events = 0
         trace_networks = []

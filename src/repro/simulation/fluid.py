@@ -179,9 +179,14 @@ class ProcessorSharingQueue:
         """Sum of the remaining work of all active jobs."""
         return sum(job.target - self._vtime for job in self._jobs.values())
 
-    def rate(self) -> float:
-        """Progress rate currently enjoyed by each active job."""
-        n = len(self._jobs)
+    def rate(self, jobs: Optional[int] = None) -> float:
+        """Progress rate enjoyed by each active job.
+
+        ``jobs`` asks for the rate each job would get with that many jobs
+        active instead of the current count (``rate(1)`` is the rate of a job
+        alone in the queue).
+        """
+        n = len(self._jobs) if jobs is None else jobs
         if n == 0:
             return 0.0
         rate = self._capacity / n
@@ -471,8 +476,9 @@ class FluidNetwork:
     ``next_event_time`` scan, one step — which is what an HTM what-if costs
     per event; :meth:`advance_to` steps through the events before its target
     and then to the target itself.  An idle queue only moves its clock, so a
-    step costs little on the resources no task is using.  ``n_steps`` counts
-    the steps taken (a copy starts from its original's count).
+    step costs little on the resources no task is using, and an idle network
+    (:meth:`is_idle`) takes no step at all.  ``n_steps`` counts the steps
+    taken (a copy starts from its original's count).
     """
 
     def __init__(
@@ -563,6 +569,20 @@ class FluidNetwork:
     def unfinished_keys(self) -> List[Hashable]:
         """Keys of the tasks that have not completed yet (pending included)."""
         return [key for key, state in self._tasks.items() if not state.finished]
+
+    def is_idle(self) -> bool:
+        """Whether nothing is unfinished: no pending arrival and every queue empty.
+
+        An idle network has no event to simulate: :meth:`advance_to` only
+        moves its clocks, and :meth:`idle_completion` dates a new task in
+        closed form.
+        """
+        if self._pending:
+            return False
+        for queue in self._queues.values():
+            if queue._jobs:
+                return False
+        return True
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -673,6 +693,15 @@ class FluidNetwork:
             raise SimulationError(
                 f"cannot advance network backwards (from {self._time} to {now})"
             )
+        if self.is_idle():
+            # No event to step through: only the clocks move.  Every entry
+            # left in the arrival heap is stale, as the step loop would find.
+            self._arrival_heap.clear()
+            if now > self._time:
+                self._time = now
+                for queue in self._queues.values():
+                    queue.advance_to(now)
+            return []
         events: List[FluidEvent] = []
         now = max(now, self._time)
         guard = 0
@@ -710,6 +739,32 @@ class FluidNetwork:
             for key, state in self._tasks.items()
             if state.completion_time is not None
         }
+
+    def idle_completion(self, now: float, stages: Sequence[FluidStage]) -> float:
+        """Completion date of a task entering this idle network at ``now``.
+
+        Alone in the network, the task runs its stages one after the other,
+        each at the single-job rate of its resource, so no simulation is
+        needed.  The float operations are those of the step loop, so the
+        date equals ``copy()`` + ``add_task(key, now, stages, now=now)`` +
+        ``run_to_completion()[key]`` exactly: start at ``max(now, time)``,
+        skip the stages of at most ``EPSILON`` work, and end each other stage
+        at ``t + work / rate``.  A resource of zero capacity gives ``inf``.
+        The network itself is not changed.
+        """
+        if not self.is_idle():
+            raise SimulationError("idle_completion needs a network with nothing unfinished")
+        if not stages:
+            raise ValueError("a task needs at least one stage")
+        t = max(now, self._time)
+        for stage in stages:
+            queue = self._queues[stage.resource]
+            if stage.work > EPSILON:
+                rate = queue.rate(1)
+                if rate <= 0:
+                    return math.inf
+                t = t + stage.work / rate
+        return t
 
     # ------------------------------------------------------------------ #
     # internals

@@ -113,15 +113,49 @@ class TestWhatIfCounters:
     def test_prediction_counts_the_work_of_its_what_if_copies(self):
         htm = make_htm()
         trace = htm.trace("artimon")
+        htm.commit("artimon", task_of(1800, "first"), now=0.0)
+        live = trace.network
+        baseline = live.copy()
+        baseline.run_to_completion()
+        with_task = live.copy()
+        with_task.add_task("t1", 0.0, htm._stages_for(trace, task_of(1200, "t1")), now=0.0)
+        with_task.run_to_completion()
+        baseline_steps = baseline.n_steps - live.n_steps
+        with_steps = with_task.n_steps - live.n_steps
+
         htm.predict("artimon", task_of(1200, "t1"), now=0.0)
-        # the empty baseline has no event; the copy with the new task
-        # completes its three stages
-        assert trace.whatif_stage_events == 3
-        assert trace.whatif_steps >= 3
-        steps = trace.whatif_steps
+        # the baseline completes the committed task's three stages; the copy
+        # with the new task completes both tasks' six
+        assert trace.whatif_stage_events == 3 + 6
+        assert trace.whatif_steps >= 3 + 6
+        assert trace.whatif_steps == baseline_steps + with_steps
         htm.predict("artimon", task_of(1200, "t2"), now=0.0)  # baseline cached
-        assert trace.whatif_stage_events == 6
-        assert trace.whatif_steps == 2 * steps
+        assert trace.whatif_stage_events == 3 + 6 + 6
+        assert trace.whatif_steps == baseline_steps + 2 * with_steps
+        assert (trace.cache_hits, trace.cache_misses) == (1, 1)
+
+    def test_idle_prediction_runs_no_what_if(self):
+        htm = make_htm()
+        trace = htm.trace("artimon")
+        live = trace.network
+        before = (live.time, live.version, live.counters())
+        prediction = htm.predict("artimon", task_of(1200, "t1"), now=0.0)
+        assert prediction.new_task_completion == pytest.approx(22.0)
+        assert htm.n_idle_predicts == 1
+        assert trace.whatif_steps == 0
+        assert trace.whatif_stage_events == 0
+        assert (trace.cache_hits, trace.cache_misses) == (0, 0)
+        assert (live.time, live.version, live.counters()) == before
+        # a committed, unfinished task makes the next prediction simulate
+        htm.commit("artimon", task_of(1800, "first"), now=0.0)
+        htm.predict("artimon", task_of(1200, "t2"), now=1.0)
+        assert htm.n_idle_predicts == 1
+        assert trace.whatif_stage_events > 0
+        # once the trace has run it to completion, predictions are idle again
+        events, misses = trace.whatif_stage_events, trace.cache_misses
+        htm.predict("artimon", task_of(1200, "t3"), now=1000.0)
+        assert htm.n_idle_predicts == 2
+        assert (trace.whatif_stage_events, trace.cache_misses) == (events, misses)
 
     def test_legacy_core_trace_counts_the_same_stage_events(self):
         """The trace API is duck-typed: a trace backed by the legacy core

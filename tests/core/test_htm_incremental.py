@@ -38,6 +38,12 @@ def random_task(rng: np.random.Generator, task_id: str, arrival: float) -> Task:
 
 def assert_predictions_match(legacy, incremental):
     assert incremental.server == legacy.server
+    if not legacy.completions_without:
+        # An idle trace: the incremental arm dates the task in closed form,
+        # with the very float operations of the legacy arm's what-if run.
+        assert incremental.new_task_completion == legacy.new_task_completion
+        assert incremental.completions_with == legacy.completions_with == {}
+        assert incremental.perturbations == legacy.perturbations == {}
     assert incremental.new_task_completion == pytest.approx(
         legacy.new_task_completion, rel=1e-9, abs=1e-6
     )
@@ -87,6 +93,11 @@ class TestIncrementalEquivalence:
                 # Pure clock advance: must keep the cache valid, not wrong.
                 legacy.advance_to(now)
                 incremental.advance_to(now)
+
+        # Both kinds of trace were met: idle ones answered in closed form,
+        # busy ones by simulation.
+        assert 0 < incremental.n_idle_predicts < incremental.n_predicts
+        assert legacy.n_idle_predicts == 0
 
         # The traces themselves agree at the end of the program.
         for server in SERVERS:

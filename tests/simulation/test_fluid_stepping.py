@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fluid_legacy
@@ -139,6 +139,154 @@ class TestIdleQueue:
         queue.advance_to(3.0)
         queue.add("a", 2.0, now=3.0)
         assert queue.advance_to(10.0) == [(5.0, "a")]
+
+
+def what_if_completion(network: FluidNetwork, now: float, stages) -> float:
+    """Reference: simulate the new task on a copy, as the HTM's what-ifs do."""
+    clone = network.copy()
+    clone.add_task("new", now, stages, now=now)
+    return clone.run_to_completion()["new"]
+
+
+def step_loop_advance(network: FluidNetwork, now: float):
+    """Reference: the step loop's ``advance_to`` on an idle network.
+
+    With nothing unfinished the scan finds no event, so the loop takes one
+    step to the target.
+    """
+    assert network.next_event_time() == math.inf
+    events = []
+    network._step_to(max(now, network.time), events)
+    return events
+
+
+def queue_clocks(network: FluidNetwork):
+    return [network._queues[name].time for name in network.resources]
+
+
+#: Stage work around the EPSILON threshold as well as real work: stages of
+#: at most EPSILON are skipped, larger ones are served.
+idle_stage_works = st.one_of(
+    st.just(0.0),
+    st.sampled_from(
+        [fluid.EPSILON / 2, fluid.EPSILON, math.nextafter(fluid.EPSILON, math.inf), 2 * fluid.EPSILON]
+    ),
+    st.floats(min_value=fluid.EPSILON / 4, max_value=4 * fluid.EPSILON, allow_nan=False),
+    st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
+)
+
+
+def idle_network(program, cpus: int, capped: bool, link: float, gap: float) -> FluidNetwork:
+    """A network that ran ``program`` to completion, then idled for ``gap``."""
+    network = build(program, cpus, capped, link)
+    network.run_to_completion()
+    network.advance_to(network.time + gap)
+    assert network.is_idle()
+    return network
+
+
+class TestIdleNetwork:
+    @given(
+        program=st.one_of(st.just([]), task_programs),
+        cpus=st.integers(min_value=1, max_value=8),
+        capped=st.booleans(),
+        link=st.floats(min_value=0.2, max_value=3.0, allow_nan=False),
+        gap=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
+        # the new task's date, relative to the network clock: up to 1e-7
+        # behind it (the tolerated clock lag) or ahead of it
+        offset=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-1e-7, max_value=0.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+        ),
+        resources=st.lists(st.sampled_from(RESOURCES), min_size=1, max_size=4),
+        works=st.lists(idle_stage_works, min_size=4, max_size=4),
+    )
+    @settings(max_examples=400, deadline=None)
+    # stage dates are added one by one, not summed first: ((1 + 1.1) + 2.2)
+    # + 3.3 differs from 1 + (1.1 + 2.2 + 3.3)
+    @example([], 1, True, 1.0, 0.0, 1.0, list(RESOURCES), [1.1, 2.2, 3.3, 0.0])
+    # a task dated behind the clock starts at the clock
+    @example([], 1, True, 1.0, 0.0, -5e-8, ["cpu"], [2.0, 0.0, 0.0, 0.0])
+    # a stage of at most EPSILON work is skipped, not served
+    @example([], 1, True, 1.0, 0.0, 0.0, ["net_in", "cpu"], [fluid.EPSILON / 2, 1.0, 0.0, 0.0])
+    def test_idle_completion_equals_the_what_if_run_exactly(
+        self, program, cpus, capped, link, gap, offset, resources, works
+    ):
+        network = idle_network(program, cpus, capped, link, gap)
+        now = network.time + offset
+        stages = [FluidStage(resource, work) for resource, work in zip(resources, works)]
+        before = (network.time, queue_clocks(network), network.version, network.counters())
+        assert network.idle_completion(now, stages) == what_if_completion(network, now, stages)
+        assert (network.time, queue_clocks(network), network.version, network.counters()) == before
+
+    @given(
+        program=st.one_of(st.just([]), task_programs),
+        cpus=st.integers(min_value=1, max_value=8),
+        capped=st.booleans(),
+        link=st.floats(min_value=0.2, max_value=3.0, allow_nan=False),
+        offset=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-1e-7, max_value=0.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_idle_advance_leaves_the_clocks_where_the_step_loop_does(
+        self, program, cpus, capped, link, offset
+    ):
+        network = idle_network(program, cpus, capped, link, 0.0)
+        reference = network.copy()
+        now = network.time + offset
+        assert network.advance_to(now) == []
+        assert step_loop_advance(reference, now) == []
+        assert network.time == reference.time
+        assert queue_clocks(network) == queue_clocks(reference)
+        assert network.version == reference.version
+        # and the next task runs the same from either state
+        stages = [FluidStage("net_in", 1.5), FluidStage("cpu", 2.5), FluidStage("net_out", 0.5)]
+        for net in (network, reference):
+            net.add_task("next", net.time, stages, now=net.time)
+            net.run_to_completion()
+        assert trajectory(network) == trajectory(reference)
+
+    def test_idle_advance_takes_no_step(self):
+        network = FluidNetwork({name: 1.0 for name in RESOURCES})
+        network.add_task("a", arrival=0.0, stages=[FluidStage("cpu", 2.0)])
+        network.run_to_completion()
+        steps = network.n_steps
+        assert network.advance_to(10.0) == []
+        assert network.time == 10.0
+        assert queue_clocks(network) == [10.0, 10.0, 10.0]
+        assert network.n_steps == steps
+
+    def test_idle_means_nothing_unfinished(self):
+        network = FluidNetwork({"cpu": 1.0})
+        assert network.is_idle()
+        network.add_task("later", arrival=5.0, stages=[FluidStage("cpu", 1.0)])
+        assert not network.is_idle()  # a pending arrival
+        network.advance_to(5.5)
+        assert not network.is_idle()  # in service
+        network.advance_to(6.0)
+        assert network.is_idle()
+        network.add_task("removed", arrival=9.0, stages=[FluidStage("cpu", 1.0)])
+        network.remove_task("removed", now=7.0)
+        assert network.is_idle()  # its arrival-heap entry is stale
+        assert network.advance_to(20.0) == []
+        network.add_task("zero", arrival=20.0, stages=[FluidStage("cpu", 0.0)], now=20.0)
+        assert network.is_idle()  # zero work finishes on arrival
+
+    def test_idle_completion_rejects_busy_networks_and_bad_stages(self):
+        network = FluidNetwork({"cpu": 2.0, "net": 0.0}, per_job_caps={"cpu": 1.0})
+        assert network.idle_completion(3.0, [FluidStage("cpu", 4.0)]) == 7.0
+        assert network.idle_completion(3.0, [FluidStage("net", 1.0)]) == math.inf
+        with pytest.raises(ValueError):
+            network.idle_completion(3.0, [])
+        with pytest.raises(KeyError):
+            network.idle_completion(3.0, [FluidStage("disk", 1.0)])
+        network.add_task("a", arrival=0.0, stages=[FluidStage("cpu", 1.0)])
+        with pytest.raises(SimulationError):
+            network.idle_completion(3.0, [FluidStage("cpu", 1.0)])
 
 
 class TestActiveCount:
